@@ -47,21 +47,6 @@ impl Btb {
         let i = self.index(pc);
         self.entries[i] = Some((self.tag(pc), target));
     }
-
-    /// Raw `(tag, target)` slots, for snapshotting.
-    pub fn entries(&self) -> &[Option<(u64, u64)>] {
-        &self.entries
-    }
-
-    /// Replaces all slots with snapshot contents. Returns `false`
-    /// (leaving the BTB unchanged) when the entry count differs.
-    pub fn set_entries(&mut self, entries: &[Option<(u64, u64)>]) -> bool {
-        if entries.len() != self.entries.len() {
-            return false;
-        }
-        self.entries.copy_from_slice(entries);
-        true
-    }
 }
 
 #[cfg(test)]

@@ -16,23 +16,6 @@ pub trait DirectionPredictor: Send {
     fn confident(&self, _pc: u64) -> bool {
         true
     }
-    /// Appends the predictor's mutable state (tables, history) to `out`
-    /// for snapshotting. Stateless predictors append nothing.
-    fn state_dump(&self, _out: &mut Vec<u8>) {}
-    /// Restores state written by [`DirectionPredictor::state_dump`] on a
-    /// predictor of the same configuration. Returns `false` (leaving the
-    /// predictor unchanged or partially reset, never panicking) when
-    /// `data` has the wrong shape.
-    fn state_load(&mut self, data: &[u8]) -> bool {
-        data.is_empty()
-    }
-}
-
-/// `true` when every byte is a legal 2-bit saturating-counter value.
-/// Loads validate with this so a corrupt snapshot cannot inject counter
-/// states the training arithmetic never produces.
-fn counters_valid(bytes: &[u8]) -> bool {
-    bytes.iter().all(|&b| b <= 3)
 }
 
 /// Selects and configures a concrete predictor (see [`make_predictor`]).
@@ -121,18 +104,6 @@ impl DirectionPredictor for Bimodal {
     fn confident(&self, pc: u64) -> bool {
         matches!(self.table[self.index(pc)], 0 | 3)
     }
-
-    fn state_dump(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.table);
-    }
-
-    fn state_load(&mut self, data: &[u8]) -> bool {
-        if data.len() != self.table.len() || !counters_valid(data) {
-            return false;
-        }
-        self.table.copy_from_slice(data);
-        true
-    }
 }
 
 /// Gshare: global history XORed with the PC indexes a counter table.
@@ -171,24 +142,6 @@ impl DirectionPredictor for Gshare {
 
     fn confident(&self, pc: u64) -> bool {
         matches!(self.table[self.index(pc)], 0 | 3)
-    }
-
-    fn state_dump(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.history.to_le_bytes());
-        out.extend_from_slice(&self.table);
-    }
-
-    fn state_load(&mut self, data: &[u8]) -> bool {
-        if data.len() != 8 + self.table.len() || !counters_valid(&data[8..]) {
-            return false;
-        }
-        let history = u64::from_le_bytes(data[..8].try_into().expect("eight bytes"));
-        if history & !self.mask != 0 {
-            return false;
-        }
-        self.history = history;
-        self.table.copy_from_slice(&data[8..]);
-        true
     }
 }
 
@@ -244,25 +197,6 @@ impl DirectionPredictor for Tournament {
         } else {
             self.bimodal.confident(pc)
         }
-    }
-
-    fn state_dump(&self, out: &mut Vec<u8>) {
-        self.bimodal.state_dump(out);
-        self.gshare.state_dump(out);
-        out.extend_from_slice(&self.choice);
-    }
-
-    fn state_load(&mut self, data: &[u8]) -> bool {
-        let b = self.bimodal.table.len();
-        let g = 8 + self.gshare.table.len();
-        if data.len() != b + g + self.choice.len() || !counters_valid(&data[b + g..]) {
-            return false;
-        }
-        if !self.bimodal.state_load(&data[..b]) || !self.gshare.state_load(&data[b..b + g]) {
-            return false;
-        }
-        self.choice.copy_from_slice(&data[b + g..]);
-        true
     }
 }
 

@@ -54,24 +54,6 @@ impl ReturnAddressStack {
         self.len -= 1;
         Some(v)
     }
-
-    /// Raw `(ring, top, len)` state, for snapshotting.
-    pub fn raw_state(&self) -> (&[u64], usize, usize) {
-        (&self.stack, self.top, self.len)
-    }
-
-    /// Restores raw state written by [`ReturnAddressStack::raw_state`].
-    /// Returns `false` (leaving the stack unchanged) when the shape is
-    /// inconsistent with this stack's depth.
-    pub fn set_raw_state(&mut self, stack: &[u64], top: usize, len: usize) -> bool {
-        if stack.len() != self.stack.len() || top >= stack.len() || len > stack.len() {
-            return false;
-        }
-        self.stack.copy_from_slice(stack);
-        self.top = top;
-        self.len = len;
-        true
-    }
 }
 
 #[cfg(test)]

@@ -148,38 +148,6 @@ impl BranchUnit {
         while self.ras.pop().is_some() {}
     }
 
-    /// Appends the direction predictor's mutable state to `out`
-    /// (snapshotting; see [`DirectionPredictor::state_dump`]).
-    pub fn direction_dump(&self, out: &mut Vec<u8>) {
-        self.direction.state_dump(out);
-    }
-
-    /// Restores direction-predictor state; `false` when the blob does
-    /// not match this unit's predictor configuration.
-    pub fn direction_load(&mut self, data: &[u8]) -> bool {
-        self.direction.state_load(data)
-    }
-
-    /// The branch target buffer (snapshotting).
-    pub fn btb(&self) -> &Btb {
-        &self.btb
-    }
-
-    /// Mutable branch target buffer (snapshot restore).
-    pub fn btb_mut(&mut self) -> &mut Btb {
-        &mut self.btb
-    }
-
-    /// The return-address stack (snapshotting).
-    pub fn ras(&self) -> &ReturnAddressStack {
-        &self.ras
-    }
-
-    /// Mutable return-address stack (snapshot restore).
-    pub fn ras_mut(&mut self) -> &mut ReturnAddressStack {
-        &mut self.ras
-    }
-
     /// Fraction of conditional predictions that were wrong.
     pub fn cond_mispredict_rate(&self) -> f64 {
         if self.cond_predictions == 0 {

@@ -3,7 +3,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use sst_isa::{Inst, Program, Reg, SnapError, SnapReader, SnapWriter, NUM_REGS};
+use sst_isa::{Inst, Program, Reg, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
 use sst_obs::{DeferCause, Event, HostTimes, Phase, PhaseTable, Stage, TraceBuf};
 use sst_uarch::{
@@ -86,70 +86,6 @@ impl Hasher for SeqHasher {
 }
 
 type SeqMap<V> = HashMap<Seq, V, BuildHasherDefault<SeqHasher>>;
-
-/// Serializes every [`SstStats`] counter in declaration order.
-fn put_stats(w: &mut SnapWriter, s: &SstStats) {
-    for v in [
-        s.episodes,
-        s.epochs_committed,
-        s.deferred,
-        s.replayed,
-        s.redeferred,
-        s.fail_branch,
-        s.scout_rollbacks,
-        s.overlapped_misses,
-        s.defer_nt_source,
-        s.defer_store_order,
-        s.defer_forward_miss,
-        s.defer_cache_miss,
-        s.stall_frontend,
-        s.stall_operand,
-        s.stall_dq_full,
-        s.stall_stb_full,
-        s.stall_ea_replay,
-        s.stall_halt_wait,
-        s.stall_port,
-        s.stall_lowconf,
-        s.ahead_issued,
-        s.replay_issued,
-        s.mispredicts,
-    ] {
-        w.put_u64(v);
-    }
-}
-
-/// Reads counters written by [`put_stats`].
-fn take_stats(r: &mut SnapReader<'_>) -> Result<SstStats, SnapError> {
-    let mut s = SstStats::default();
-    for slot in [
-        &mut s.episodes,
-        &mut s.epochs_committed,
-        &mut s.deferred,
-        &mut s.replayed,
-        &mut s.redeferred,
-        &mut s.fail_branch,
-        &mut s.scout_rollbacks,
-        &mut s.overlapped_misses,
-        &mut s.defer_nt_source,
-        &mut s.defer_store_order,
-        &mut s.defer_forward_miss,
-        &mut s.defer_cache_miss,
-        &mut s.stall_frontend,
-        &mut s.stall_operand,
-        &mut s.stall_dq_full,
-        &mut s.stall_stb_full,
-        &mut s.stall_ea_replay,
-        &mut s.stall_halt_wait,
-        &mut s.stall_port,
-        &mut s.stall_lowconf,
-        &mut s.ahead_issued,
-        &mut s.replay_issued,
-        &mut s.mispredicts,
-    ] {
-        *slot = r.take_u64()?;
-    }
-    Ok(s)
-}
 
 /// The scout / execute-ahead / SST core.
 ///
@@ -1719,132 +1655,6 @@ impl Core for SstCore {
 
     fn host_times(&self) -> Option<&HostTimes> {
         self.prof.as_deref()
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.tag("SSTC");
-        w.put_u64(self.cycle);
-        w.put_u64(self.seq);
-        w.put_bool(self.halted);
-        w.put_bool(self.no_defer);
-        w.put_u64(self.last_progress);
-        w.put_u64(self.replay_check_at);
-        match self.replay_cursor {
-            Some((seq, generation)) => {
-                w.put_bool(true);
-                w.put_u64(seq);
-                w.put_u64(generation);
-            }
-            None => w.put_bool(false),
-        }
-        self.frontend.save_state(w);
-        self.spec.save_state(w);
-        w.put_usize(self.epochs.len());
-        for ep in &self.epochs {
-            ep.ckpt.save_state(w);
-            w.put_opt_u64(ep.end_seq);
-            w.put_u64(ep.cause_ready);
-            w.put_usize(ep.log.len());
-            for c in &ep.log {
-                c.save_state(w);
-            }
-        }
-        self.dq.save_state(w);
-        self.stb.save_state(w);
-        // The produced-value table is a hash map; serialize sorted by
-        // producer sequence so identical states snapshot byte-identically.
-        let mut vals: Vec<(Seq, u64, Cycle)> = self
-            .replay_vals
-            .iter()
-            .map(|(&seq, &(value, ready))| (seq, value, ready))
-            .collect();
-        vals.sort_unstable_by_key(|&(seq, _, _)| seq);
-        w.put_usize(vals.len());
-        for (seq, value, ready) in vals {
-            w.put_u64(seq);
-            w.put_u64(value);
-            w.put_u64(ready);
-        }
-        w.put_usize(self.commits.len());
-        for c in &self.commits {
-            c.save_state(w);
-        }
-        for ph in Phase::ALL {
-            w.put_u64(self.phase_cycles.get(ph));
-        }
-        put_stats(w, &self.stats);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("SSTC")?;
-        let cycle = r.take_u64()?;
-        let seq = r.take_u64()?;
-        let halted = r.take_bool()?;
-        let no_defer = r.take_bool()?;
-        let last_progress = r.take_u64()?;
-        let replay_check_at = r.take_u64()?;
-        let replay_cursor = if r.take_bool()? {
-            Some((r.take_u64()?, r.take_u64()?))
-        } else {
-            None
-        };
-        self.frontend.restore_state(r)?;
-        self.spec.restore_state(r)?;
-        let n_epochs = r.take_usize()?;
-        if n_epochs > self.cfg.checkpoints {
-            return Err(SnapError::Corrupt(format!(
-                "epoch count {n_epochs} exceeds {} checkpoints",
-                self.cfg.checkpoints
-            )));
-        }
-        self.epochs.clear();
-        for _ in 0..n_epochs {
-            let ckpt = Checkpoint::load(r)?;
-            let end_seq = r.take_opt_u64()?;
-            let cause_ready = r.take_u64()?;
-            let n_log = r.take_usize()?;
-            let mut log = Vec::new();
-            for _ in 0..n_log {
-                log.push(Commit::load(r)?);
-            }
-            self.epochs.push_back(Epoch {
-                ckpt,
-                end_seq,
-                log,
-                cause_ready,
-            });
-        }
-        self.dq.restore_state(r)?;
-        self.stb.restore_state(r)?;
-        let n_vals = r.take_usize()?;
-        self.replay_vals.clear();
-        for _ in 0..n_vals {
-            let seq = r.take_u64()?;
-            let value = r.take_u64()?;
-            let ready = r.take_u64()?;
-            self.replay_vals.insert(seq, (value, ready));
-        }
-        let n_commits = r.take_usize()?;
-        self.commits.clear();
-        for _ in 0..n_commits {
-            self.commits.push(Commit::load(r)?);
-        }
-        let mut phases = PhaseTable::new();
-        for ph in Phase::ALL {
-            phases.add(ph, r.take_u64()?);
-        }
-        self.stats = take_stats(r)?;
-        self.cycle = cycle;
-        self.seq = seq;
-        self.halted = halted;
-        self.no_defer = no_defer;
-        self.last_progress = last_progress;
-        self.replay_check_at = replay_check_at;
-        self.replay_cursor = replay_cursor;
-        self.phase_cycles = phases;
-        self.drain_buf.clear();
-        Ok(())
     }
 
     fn warm_boot(&mut self, regs: &[u64; NUM_REGS], pc: u64) {

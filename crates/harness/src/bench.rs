@@ -18,12 +18,15 @@
 //! to live at the repo root) so CI can compare a fresh run against the
 //! committed baseline with `--check`:
 //!
+//! * any pair's `insts` or `cycles` differing from the baseline's (or
+//!   missing from it) → exit 1. The simulators are deterministic, so a
+//!   moved count is a bug, never noise; this covers the CMP pairs too;
 //! * fresh geomean < 90% of baseline → loud warning, exit 0 (soft gate —
 //!   shared CI runners are noisy);
 //! * fresh geomean < 80% of baseline → exit 1 (a real regression).
 //!
 //! The `--check` geomean covers the single-core matrix only; the CMP
-//! pairs are informational (their wall time depends on host parallelism,
+//! pairs' wall times are informational (they depend on host parallelism,
 //! which CI runners do not guarantee).
 
 use std::collections::BTreeMap;
@@ -71,6 +74,35 @@ struct PairResult {
     minst_per_s: f64,
 }
 
+impl PairResult {
+    fn counts(&self) -> SimCounts {
+        SimCounts {
+            pair: pair_name(&self.model, &self.workload),
+            insts: self.insts,
+            cycles: self.cycles,
+        }
+    }
+}
+
+/// One pair's deterministic simulated counts, as `--check` compares
+/// them.
+#[derive(Debug, PartialEq)]
+struct SimCounts {
+    /// `model/workload`, plus ` xCORES tTHREADS` for CMP pairs.
+    pair: String,
+    insts: u64,
+    cycles: u64,
+}
+
+/// What `--check` compares a fresh run against, read from the previous
+/// report before the run overwrites it.
+struct Baseline {
+    scale: String,
+    seed: u64,
+    geomean: f64,
+    counts: Vec<SimCounts>,
+}
+
 struct CmpPairResult {
     model: String,
     workload: String,
@@ -80,6 +112,24 @@ struct CmpPairResult {
     cycles: u64,
     wall_ms: f64,
     minst_per_s: f64,
+}
+
+impl CmpPairResult {
+    fn counts(&self) -> SimCounts {
+        SimCounts {
+            pair: cmp_pair_name(&self.model, &self.workload, self.cores, self.threads),
+            insts: self.insts,
+            cycles: self.cycles,
+        }
+    }
+}
+
+fn pair_name(model: &str, workload: &str) -> String {
+    format!("{model}/{workload}")
+}
+
+fn cmp_pair_name(model: &str, workload: &str, cores: usize, threads: usize) -> String {
+    format!("{model}/{workload} x{cores} t{threads}")
 }
 
 fn parse_model(tok: &str) -> Option<CoreModel> {
@@ -126,6 +176,14 @@ impl BenchOpts {
             sampling: false,
         }
     }
+
+    /// The scale as written in reports ("smoke"/"full").
+    fn scale_token(&self) -> &'static str {
+        match self.scale {
+            Scale::Smoke => "smoke",
+            Scale::Full => "full",
+        }
+    }
 }
 
 const BENCH_USAGE: &str = "\
@@ -138,6 +196,7 @@ options:
   --out PATH         where to write the JSON report
                      (default: BENCH_hotloop.json)
   --check            compare against the existing report at --out PATH:
+                     fail if any pair's insts or cycles differ from it,
                      warn below 90% of its geomean, fail below 80%
   --scale S          smoke|full (default smoke)
   --seed N           workload seed (default 12345)
@@ -221,11 +280,11 @@ fn run_bench(o: &BenchOpts) -> i32 {
         }
     }
 
-    // Read the baseline geomean *before* running, so `--check` against
-    // the file we are about to overwrite still compares old vs new.
+    // Read the baseline *before* running, so `--check` against the file
+    // we are about to overwrite still compares old vs new.
     let baseline = if o.check {
-        match read_baseline_geomean(&o.out) {
-            Some(g) => Some(g),
+        match read_baseline(&o.out) {
+            Some(b) => Some(b),
             None => {
                 eprintln!(
                     "sst-run bench: --check: no readable baseline at {} — treating as first run",
@@ -237,16 +296,27 @@ fn run_bench(o: &BenchOpts) -> i32 {
     } else {
         None
     };
+    if let Some(b) = &baseline {
+        if b.scale != o.scale_token() || b.seed != o.seed {
+            eprintln!(
+                "sst-run bench: --check: baseline {} was recorded at scale={} seed={}; \
+                 this run is scale={} seed={}, so its counts cannot be compared",
+                o.out,
+                b.scale,
+                b.seed,
+                o.scale_token(),
+                o.seed
+            );
+            return 2;
+        }
+    }
 
     let host_cpus = host_cpus();
     println!(
         "sst-run bench: {} pair(s), scale={}, seed={}, fast-forward {}, \
          warm-up + median of {}, host cpus {}",
         models.len() * o.workloads.len(),
-        match o.scale {
-            Scale::Smoke => "smoke",
-            Scale::Full => "full",
-        },
+        o.scale_token(),
         o.seed,
         if o.fast_forward { "on" } else { "off" },
         o.repeats,
@@ -343,9 +413,33 @@ fn run_bench(o: &BenchOpts) -> i32 {
     println!("(report written to {})", o.out);
 
     if let Some(base) = baseline {
-        let ratio = g / base.max(1e-12);
+        let fresh: Vec<SimCounts> = pairs
+            .iter()
+            .map(PairResult::counts)
+            .chain(cmp_pairs.iter().map(CmpPairResult::counts))
+            .collect();
+        let mismatches = count_mismatches(&fresh, &base.counts);
+        if mismatches.is_empty() {
+            println!(
+                "check: all {} pair(s) match the baseline's insts/cycles exactly",
+                fresh.len()
+            );
+        } else {
+            for line in &mismatches {
+                eprintln!("sst-run bench: FAIL — {line}");
+            }
+            eprintln!(
+                "sst-run bench: FAIL — {} of {} pair(s) differ from the baseline's \
+                 simulated counts; the simulators are deterministic, so this is a \
+                 behaviour change",
+                mismatches.len(),
+                fresh.len()
+            );
+        }
+        let base_g = base.geomean;
+        let ratio = g / base_g.max(1e-12);
         println!(
-            "check: fresh {g:.2} vs baseline {base:.2} Minst/s ({:+.1}%)",
+            "check: fresh {g:.2} vs baseline {base_g:.2} Minst/s ({:+.1}%)",
             (ratio - 1.0) * 100.0
         );
         if ratio < FAIL_BELOW {
@@ -354,6 +448,9 @@ fn run_bench(o: &BenchOpts) -> i32 {
                 ratio * 100.0,
                 FAIL_BELOW * 100.0
             );
+            return 1;
+        }
+        if !mismatches.is_empty() {
             return 1;
         }
         if ratio < WARN_BELOW {
@@ -493,10 +590,7 @@ fn run_sampling_bench(o: &BenchOpts) -> i32 {
          period {} / interval {} / warm {}, warm-up + median of {}",
         model.label(),
         SAMPLING_TXNS,
-        match o.scale {
-            Scale::Smoke => "smoke",
-            Scale::Full => "full",
-        },
+        o.scale_token(),
         o.seed,
         scfg.period,
         scfg.interval,
@@ -580,13 +674,7 @@ fn run_sampling_bench(o: &BenchOpts) -> i32 {
     let pass_throughput = effective >= SAMPLING_MIN_MINST_PER_S;
     let doc = JVal::obj([
         ("version", JVal::str(env!("CARGO_PKG_VERSION"))),
-        (
-            "scale",
-            JVal::str(match o.scale {
-                Scale::Smoke => "smoke",
-                Scale::Full => "full",
-            }),
-        ),
+        ("scale", JVal::str(o.scale_token())),
         ("seed", JVal::Int(o.seed)),
         ("model", JVal::str(model.label())),
         ("workload", JVal::str("oltp")),
@@ -653,19 +741,18 @@ fn print_host_profile(prof_by_model: &BTreeMap<String, HostTimes>) {
     }
     println!("host profile (one instrumented run per pair, share of model wall time):");
     println!(
-        "  {:<8} {:>7} {:>7} {:>7} {:>7} {:>7} {:>9} {:>10}",
-        "model", "fetch", "decode", "issue", "replay", "other", "mem(ovl)", "total ms"
+        "  {:<8} {:>7} {:>7} {:>7} {:>7} {:>9} {:>10}",
+        "model", "fetch", "decode", "issue", "replay", "mem(ovl)", "total ms"
     );
     for (model, t) in prof_by_model {
         let total = t.total_ns().max(1) as f64;
         let pct = |s: Stage| t.get(s) as f64 * 100.0 / total;
         println!(
-            "  {model:<8} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>8.1}% {:>10.1}",
+            "  {model:<8} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>8.1}% {:>10.1}",
             pct(Stage::Fetch),
             pct(Stage::Decode),
             pct(Stage::Issue),
             pct(Stage::Replay),
-            pct(Stage::Other),
             pct(Stage::MemTick),
             total / 1e6,
         );
@@ -688,13 +775,7 @@ fn render_report(
     };
     let mut fields = vec![
         ("version".to_string(), JVal::str(env!("CARGO_PKG_VERSION"))),
-        (
-            "scale".to_string(),
-            JVal::str(match o.scale {
-                Scale::Smoke => "smoke",
-                Scale::Full => "full",
-            }),
-        ),
+        ("scale".to_string(), JVal::str(o.scale_token())),
         ("seed".to_string(), JVal::Int(o.seed)),
         ("fast_forward".to_string(), JVal::Bool(o.fast_forward)),
         ("repeats".to_string(), JVal::Int(o.repeats as u64)),
@@ -770,14 +851,76 @@ fn render_report(
     JVal::Obj(fields).render_pretty()
 }
 
-/// Extracts `geomean_minst_per_s` from a previous report. A string scan,
-/// not a parser: the file is machine-written by `render_report`, and the
-/// harness intentionally has no JSON reader.
-fn read_baseline_geomean(path: &str) -> Option<f64> {
+/// Reads what `--check` needs from a previous report: its scale, seed,
+/// geomean, and every `pairs[]`/`cmp_pairs[]` entry's counts. A string
+/// scan, not a parser: the file is machine-written by `render_report`,
+/// and the harness intentionally has no JSON reader. `None` when the
+/// file is missing or any of those fields is unreadable.
+fn read_baseline(path: &str) -> Option<Baseline> {
     let body = std::fs::read_to_string(path).ok()?;
-    let tail = body.split("\"geomean_minst_per_s\"").nth(1)?;
-    let val = tail.split(':').nth(1)?;
-    val.trim().trim_end_matches(['}', ',', '\n', ' ']).parse().ok()
+    let mut counts = Vec::new();
+    for obj in scan_objects(&body, "pairs") {
+        let pair = pair_name(scan_field(obj, "model")?, scan_field(obj, "workload")?);
+        counts.push(scan_counts(obj, pair)?);
+    }
+    for obj in scan_objects(&body, "cmp_pairs") {
+        let pair = cmp_pair_name(
+            scan_field(obj, "model")?,
+            scan_field(obj, "workload")?,
+            scan_field(obj, "cores")?.parse().ok()?,
+            scan_field(obj, "threads")?.parse().ok()?,
+        );
+        counts.push(scan_counts(obj, pair)?);
+    }
+    Some(Baseline {
+        scale: scan_field(&body, "scale")?.to_string(),
+        seed: scan_field(&body, "seed")?.parse().ok()?,
+        geomean: scan_field(&body, "geomean_minst_per_s")?.parse().ok()?,
+        counts,
+    })
+}
+
+/// The value text after the first `"key":` in `body`, quotes stripped.
+fn scan_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
+    let tail = body.split(&format!("\"{key}\":")).nth(1)?;
+    let end = tail.find([',', '\n', '}']).unwrap_or(tail.len());
+    Some(tail[..end].trim().trim_matches('"'))
+}
+
+/// The bodies of the flat objects in the top-level array `key`.
+fn scan_objects<'a>(body: &'a str, key: &str) -> Vec<&'a str> {
+    let Some(tail) = body.split(&format!("\"{key}\": [")).nth(1) else {
+        return Vec::new();
+    };
+    let array = &tail[..tail.find(']').unwrap_or(tail.len())];
+    array
+        .split('}')
+        .filter_map(|o| o.split_once('{').map(|(_, b)| b))
+        .collect()
+}
+
+fn scan_counts(obj: &str, pair: String) -> Option<SimCounts> {
+    Some(SimCounts {
+        pair,
+        insts: scan_field(obj, "insts")?.parse().ok()?,
+        cycles: scan_field(obj, "cycles")?.parse().ok()?,
+    })
+}
+
+/// One line per fresh pair whose counts differ from the baseline's, or
+/// that the baseline lacks, naming the pair. Empty when all match.
+fn count_mismatches(fresh: &[SimCounts], base: &[SimCounts]) -> Vec<String> {
+    fresh
+        .iter()
+        .filter_map(|f| match base.iter().find(|b| b.pair == f.pair) {
+            Some(b) if b == f => None,
+            Some(b) => Some(format!(
+                "{}: insts {} cycles {}, baseline has insts {} cycles {}",
+                f.pair, f.insts, f.cycles, b.insts, b.cycles
+            )),
+            None => Some(format!("{}: not in the baseline", f.pair)),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -803,19 +946,73 @@ mod tests {
             wall_ms: 250.0,
             minst_per_s: 4.0,
         }];
-        let body = render_report(&o, &pairs, &[], &BTreeMap::new(), 4.0, 1);
-        let dir = std::env::temp_dir().join(format!("sst-bench-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_hotloop.json");
-        std::fs::write(&path, body).unwrap();
-        let g = read_baseline_geomean(path.to_str().unwrap()).expect("scan");
-        assert!((g - 4.0).abs() < 1e-9, "{g}");
-        std::fs::remove_dir_all(&dir).ok();
+        let cmp_pairs = vec![CmpPairResult {
+            model: "sst".into(),
+            workload: "erp".into(),
+            cores: 16,
+            threads: 4,
+            insts: 3_000_000,
+            cycles: 5_000_000,
+            wall_ms: 900.0,
+            minst_per_s: 3.3,
+        }];
+        let body = render_report(&o, &pairs, &cmp_pairs, &BTreeMap::new(), 4.0, 1);
+        let b = write_and_read_back("scan", &body);
+        assert!((b.geomean - 4.0).abs() < 1e-9, "{}", b.geomean);
+        assert_eq!((b.scale.as_str(), b.seed), ("smoke", 12345));
+        let want: Vec<SimCounts> = vec![pairs[0].counts(), cmp_pairs[0].counts()];
+        assert_eq!(b.counts, want);
+        assert_eq!(b.counts[1].pair, "sst/erp x16 t4");
     }
 
     #[test]
     fn missing_baseline_is_none() {
-        assert_eq!(read_baseline_geomean("/no/such/file.json"), None);
+        assert!(read_baseline("/no/such/file.json").is_none());
+    }
+
+    /// `--check` fails on any moved count: a one-cycle difference in one
+    /// pair is reported by name, and a pair absent from the baseline is
+    /// reported too.
+    #[test]
+    fn count_check_fails_on_any_mismatch() {
+        let o = BenchOpts::defaults();
+        let pair = |model: &str, cycles| PairResult {
+            model: model.into(),
+            workload: "oltp".into(),
+            insts: 19_073,
+            cycles,
+            wall_ms: 5.0,
+            minst_per_s: 3.8,
+        };
+        let base_pairs = vec![pair("in-order", 407_751), pair("sst", 98_765)];
+        let body = render_report(&o, &base_pairs, &[], &BTreeMap::new(), 3.8, 1);
+        let b = write_and_read_back("mismatch", &body);
+        let fresh = |pairs: &[PairResult]| pairs.iter().map(PairResult::counts).collect::<Vec<_>>();
+
+        assert!(count_mismatches(&fresh(&base_pairs), &b.counts).is_empty());
+
+        let one_cycle_off = [pair("in-order", 407_751), pair("sst", 98_766)];
+        let moved = count_mismatches(&fresh(&one_cycle_off), &b.counts);
+        assert_eq!(moved.len(), 1, "{moved:?}");
+        assert!(moved[0].starts_with("sst/oltp:"), "{}", moved[0]);
+        assert!(
+            moved[0].contains("98766") && moved[0].contains("98765"),
+            "{}",
+            moved[0]
+        );
+
+        let extra = count_mismatches(&fresh(&[pair("ooo-32", 1)]), &b.counts);
+        assert_eq!(extra, vec!["ooo-32/oltp: not in the baseline".to_string()]);
+    }
+
+    fn write_and_read_back(tag: &str, body: &str) -> Baseline {
+        let dir = std::env::temp_dir().join(format!("sst-bench-test-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_hotloop.json");
+        std::fs::write(&path, body).unwrap();
+        let b = read_baseline(path.to_str().unwrap()).expect("scan");
+        std::fs::remove_dir_all(&dir).ok();
+        b
     }
 
     #[test]

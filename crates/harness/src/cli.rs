@@ -1,5 +1,4 @@
-//! The `sst-run` command line, shared by the thin per-experiment
-//! binaries.
+//! The `sst-run` command line.
 //!
 //! ```text
 //! sst-run all                 # every experiment, all cores
@@ -23,7 +22,7 @@ experiments:
   e13            speculative-leakage audit: taint sweep over the gadgets
   e14            open-loop service traffic: tail latency vs offered load
   a1 .. a4       the ablations
-  (legacy binary names like e4_vs_ooo are accepted)
+  (long names like e4_vs_ooo are accepted)
 
 subcommands:
   bench          time the simulation hot loop and report Minst/s
@@ -220,22 +219,6 @@ pub fn cli_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
     };
 
     run_and_report(&experiments, &cfg)
-}
-
-/// Runs one experiment by id, serially and uncached-by-default-settings
-/// aside (cache stays on), printing its tables. This is what the legacy
-/// per-experiment binaries call: `jobs = 1` keeps them byte-for-byte
-/// comparable with a parallel `sst-run` of the same experiment.
-pub fn experiment_main(id: &str) -> i32 {
-    let mut cfg = RunConfig::from_os();
-    cfg.jobs = 1;
-    match registry::find(id) {
-        Some(e) => run_and_report(&[e], &cfg),
-        None => {
-            eprintln!("unknown experiment {id:?}");
-            2
-        }
-    }
 }
 
 fn run_and_report(experiments: &[registry::Experiment], cfg: &RunConfig) -> i32 {

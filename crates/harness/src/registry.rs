@@ -124,7 +124,7 @@ pub fn all() -> Vec<Experiment> {
 }
 
 /// Resolves a CLI token to an experiment: exact id (case-insensitive) or
-/// a legacy binary name (`"e4_vs_ooo"` → `"e4"`).
+/// a long name (`"e4_vs_ooo"` → `"e4"`).
 pub fn find(token: &str) -> Option<Experiment> {
     let token = token.to_ascii_lowercase();
     let id = token.split('_').next().unwrap_or(&token);

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{Inst, Program, Reg, SnapError, SnapReader, SnapWriter, SparseMem, INST_BYTES, NUM_REGS};
+use crate::{Inst, Program, Reg, SparseMem, INST_BYTES, NUM_REGS};
 
 /// Architectural register + PC state.
 #[derive(Clone, PartialEq, Eq)]
@@ -34,30 +34,6 @@ impl ArchState {
     /// A snapshot of all 64 registers in unified-index order.
     pub fn regs(&self) -> &[u64; NUM_REGS] {
         &self.regs
-    }
-
-    /// Serializes the register file and PC.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("ARCH");
-        for &v in &self.regs {
-            w.put_u64(v);
-        }
-        w.put_u64(self.pc);
-    }
-
-    /// Restores state written by [`ArchState::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] on truncated or corrupt input; the state
-    /// is unspecified (but memory-safe) on error.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("ARCH")?;
-        for v in self.regs.iter_mut() {
-            *v = r.take_u64()?;
-        }
-        self.pc = r.take_u64()?;
-        Ok(())
     }
 }
 
@@ -485,32 +461,6 @@ impl Interp {
             stop: StopReason::StepLimit,
             steps,
         })
-    }
-
-    /// Serializes the interpreter's mutable state (registers, PC, halt
-    /// latch, retire count, memory). The program itself is *not*
-    /// serialized — restore requires an interpreter built over the same
-    /// program, which the caller validates by workload name.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("INTP");
-        self.state.save_state(w);
-        w.put_bool(self.halted);
-        w.put_u64(self.retired);
-        self.mem.save_state(w);
-    }
-
-    /// Restores state written by [`Interp::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] on truncated or corrupt input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("INTP")?;
-        self.state.restore_state(r)?;
-        self.halted = r.take_bool()?;
-        self.retired = r.take_u64()?;
-        self.mem.restore_state(r)?;
-        Ok(())
     }
 }
 

@@ -57,7 +57,6 @@ mod inst;
 mod interp;
 mod program;
 mod reg;
-mod snap;
 mod sparse_mem;
 
 pub use asm::{assemble, AsmError};
@@ -67,7 +66,6 @@ pub use inst::{disasm, AluOp, BranchCond, FpuOp, Inst, InstClass, MemWidth};
 pub use interp::{ArchState, Interp, MemEffect, RunOutcome, StepEvent, StopReason, Trap};
 pub use program::{Program, Segment, DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE};
 pub use reg::Reg;
-pub use snap::{SnapError, SnapReader, SnapWriter, SNAPSHOT_VERSION};
 pub use sparse_mem::SparseMem;
 
 /// Number of architectural registers (32 integer + 32 floating point,

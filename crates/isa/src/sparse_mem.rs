@@ -1,8 +1,6 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::{SnapError, SnapReader, SnapWriter};
-
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
@@ -160,44 +158,6 @@ impl SparseMem {
             addr = addr.wrapping_add(n as u64);
             rest = &rest[n..];
         }
-    }
-
-    /// Serializes the materialized pages in ascending page-number order
-    /// (sorted so two equal memories always serialize byte-identically,
-    /// regardless of map iteration order).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("SMEM");
-        let mut nums: Vec<u64> = self.pages.keys().copied().collect();
-        nums.sort_unstable();
-        w.put_usize(nums.len());
-        for pn in nums {
-            w.put_u64(pn);
-            w.put_raw(&self.pages[&pn][..]);
-        }
-    }
-
-    /// Replaces the contents with pages written by
-    /// [`SparseMem::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] on truncated input or duplicate pages;
-    /// the memory is unchanged on error.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("SMEM")?;
-        let n = r.take_usize()?;
-        let mut pages = PageMap::default();
-        for _ in 0..n {
-            let pn = r.take_u64()?;
-            let raw = r.take_raw(PAGE_SIZE)?;
-            let mut page = Box::new([0u8; PAGE_SIZE]);
-            page[..].copy_from_slice(raw);
-            if pages.insert(pn, page).is_some() {
-                return Err(SnapError::Corrupt(format!("duplicate memory page {pn:#x}")));
-            }
-        }
-        self.pages = pages;
-        Ok(())
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.

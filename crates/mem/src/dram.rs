@@ -1,7 +1,5 @@
 //! DRAM timing model: one channel, N banks, per-bank open-row tracking.
 
-use sst_isa::{SnapError, SnapReader, SnapWriter};
-
 use crate::{Cycle, DramConfig};
 
 /// Per-access DRAM timing outcome.
@@ -97,50 +95,6 @@ impl Dram {
         self.channel_free_at = start + self.cfg.burst_cycles;
         self.bank_free_at[bank] = start + self.cfg.bank_busy_cycles;
         self.open_row[bank] = Some(self.row_of(addr));
-    }
-
-    /// Serializes channel/bank timing, open rows, and counters.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("DRAM");
-        w.put_u64(self.channel_free_at);
-        w.put_u64(self.accesses);
-        w.put_u64(self.row_hits);
-        w.put_u64(self.writebacks);
-        w.put_usize(self.bank_free_at.len());
-        for (&free_at, &row) in self.bank_free_at.iter().zip(&self.open_row) {
-            w.put_u64(free_at);
-            w.put_opt_u64(row);
-        }
-    }
-
-    /// Restores state written by [`Dram::save_state`] on a model with the
-    /// same bank count.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated, corrupt, or bank-mismatched input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("DRAM")?;
-        let channel_free_at = r.take_u64()?;
-        let accesses = r.take_u64()?;
-        let row_hits = r.take_u64()?;
-        let writebacks = r.take_u64()?;
-        let banks = r.take_usize()?;
-        if banks != self.bank_free_at.len() {
-            return Err(SnapError::Mismatch(format!(
-                "DRAM bank count {banks} != configured {}",
-                self.bank_free_at.len()
-            )));
-        }
-        for i in 0..banks {
-            self.bank_free_at[i] = r.take_u64()?;
-            self.open_row[i] = r.take_opt_u64()?;
-        }
-        self.channel_free_at = channel_free_at;
-        self.accesses = accesses;
-        self.row_hits = row_hits;
-        self.writebacks = writebacks;
-        Ok(())
     }
 
     /// Fraction of demand accesses that hit an open row.

@@ -14,8 +14,6 @@
 //!   returned start time reflects that serialization. This is what caps a
 //!   core's achievable memory-level parallelism.
 
-use sst_isa::{SnapError, SnapReader, SnapWriter};
-
 use crate::Cycle;
 
 #[derive(Clone, Copy, Debug)]
@@ -152,52 +150,6 @@ impl MshrFile {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.earliest_ready = Cycle::MAX;
-    }
-
-    /// Serializes in-flight entries and counters.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("MSHR");
-        w.put_u64(self.earliest_ready);
-        w.put_u64(self.merged);
-        w.put_u64(self.full_stalls);
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_u64(e.block);
-            w.put_u64(e.ready_at);
-            w.put_bool(e.deep);
-        }
-    }
-
-    /// Restores state written by [`MshrFile::save_state`] on a file of the
-    /// same capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated, corrupt, or capacity-mismatched input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("MSHR")?;
-        let earliest_ready = r.take_u64()?;
-        let merged = r.take_u64()?;
-        let full_stalls = r.take_u64()?;
-        let n = r.take_usize()?;
-        if n > self.capacity {
-            return Err(SnapError::Corrupt(format!(
-                "MSHR occupancy {n} exceeds capacity {}",
-                self.capacity
-            )));
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            self.entries.push(Entry {
-                block: r.take_u64()?,
-                ready_at: r.take_u64()?,
-                deep: r.take_bool()?,
-            });
-        }
-        self.earliest_ready = earliest_ready;
-        self.merged = merged;
-        self.full_stalls = full_stalls;
-        Ok(())
     }
 }
 

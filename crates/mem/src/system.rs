@@ -24,7 +24,7 @@
 
 use std::collections::HashSet;
 
-use sst_isa::{SnapError, SnapReader, SnapWriter, SparseMem};
+use sst_isa::SparseMem;
 use sst_obs::{Event, HostTimes, Stage, TraceBuf};
 
 use crate::cache::TagArray;
@@ -221,77 +221,6 @@ impl MemPort {
             self.useful_prefetches += 1;
         }
     }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("PORT");
-        self.mem.save_state(w);
-        self.l1i.save_state(w);
-        self.l1d.save_state(w);
-        self.l1i_mshr.save_state(w);
-        self.l1d_mshr.save_state(w);
-        match &self.prefetcher {
-            Some(p) => {
-                w.put_bool(true);
-                p.save_state(w);
-            }
-            None => w.put_bool(false),
-        }
-        // The residency set is written sorted so serialization is a pure
-        // function of logical state, not of hash iteration order.
-        let mut resident: Vec<u64> = self.prefetched.iter().copied().collect();
-        resident.sort_unstable();
-        w.put_usize(resident.len());
-        for b in resident {
-            w.put_u64(b);
-        }
-        put_cache_stats(w, &self.l1i_stats);
-        put_cache_stats(w, &self.l1d_stats);
-        w.put_u64(self.prefetches);
-        w.put_u64(self.useful_prefetches);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("PORT")?;
-        self.mem.restore_state(r)?;
-        self.l1i.restore_state(r)?;
-        self.l1d.restore_state(r)?;
-        self.l1i_mshr.restore_state(r)?;
-        self.l1d_mshr.restore_state(r)?;
-        let has_prefetcher = r.take_bool()?;
-        match (&mut self.prefetcher, has_prefetcher) {
-            (Some(p), true) => p.restore_state(r)?,
-            (None, false) => {}
-            _ => {
-                return Err(SnapError::Mismatch(
-                    "prefetcher presence differs between snapshot and config".into(),
-                ));
-            }
-        }
-        let n = r.take_usize()?;
-        self.prefetched.clear();
-        for _ in 0..n {
-            self.prefetched.insert(r.take_u64()?);
-        }
-        self.l1i_stats = take_cache_stats(r)?;
-        self.l1d_stats = take_cache_stats(r)?;
-        self.prefetches = r.take_u64()?;
-        self.useful_prefetches = r.take_u64()?;
-        Ok(())
-    }
-}
-
-fn put_cache_stats(w: &mut SnapWriter, s: &CacheStats) {
-    w.put_u64(s.accesses);
-    w.put_u64(s.hits);
-    w.put_u64(s.writebacks);
-}
-
-fn take_cache_stats(r: &mut SnapReader<'_>) -> Result<CacheStats, SnapError> {
-    Ok(CacheStats {
-        accesses: r.take_u64()?,
-        hits: r.take_u64()?,
-        writebacks: r.take_u64()?,
-    })
 }
 
 /// The state every core contends on: shared L2 tags and MSHRs, the L2
@@ -354,25 +283,6 @@ impl L2Shared {
                 self.dram.writeback(at, l2_ev.addr);
             }
         }
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("L2SH");
-        self.l2.save_state(w);
-        self.l2_mshr.save_state(w);
-        w.put_u64(self.l2_port_free_at);
-        self.dram.save_state(w);
-        put_cache_stats(w, &self.l2_stats);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("L2SH")?;
-        self.l2.restore_state(r)?;
-        self.l2_mshr.restore_state(r)?;
-        self.l2_port_free_at = r.take_u64()?;
-        self.dram.restore_state(r)?;
-        self.l2_stats = take_cache_stats(r)?;
-        Ok(())
     }
 }
 
@@ -761,43 +671,7 @@ impl MemSystem {
         out
     }
 
-    // ---- snapshot / sampling support -------------------------------------------
-
-    /// Serializes the complete mutable state — every port (backing memory,
-    /// L1 tags, MSHRs, prefetcher, counters) and the shared L2/DRAM
-    /// residue — so a run can resume byte-identically on a freshly built
-    /// system of the same configuration. Observability attachments
-    /// (traces, host profiles) are excluded: they are record-only.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("MEMS");
-        w.put_usize(self.ports.len());
-        for p in &self.ports {
-            p.save_state(w);
-        }
-        self.shared.save_state(w);
-    }
-
-    /// Restores state written by [`MemSystem::save_state`] on a system
-    /// built with the same configuration and core count.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated, corrupt, or configuration-mismatched
-    /// input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("MEMS")?;
-        let n = r.take_usize()?;
-        if n != self.ports.len() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot has {n} memory ports, system has {}",
-                self.ports.len()
-            )));
-        }
-        for p in &mut self.ports {
-            p.restore_state(r)?;
-        }
-        self.shared.restore_state(r)
-    }
+    // ---- sampling support -----------------------------------------------------
 
     /// Warms the cache *tags* with one architecturally executed access —
     /// no timing, no MSHRs, no statistics. Functional warming between

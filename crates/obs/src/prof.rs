@@ -27,19 +27,16 @@ pub enum Stage {
     Replay,
     /// The memory system's miss walk (overlaps Issue/Replay).
     MemTick,
-    /// Everything else attributable to a stage owner.
-    Other,
 }
 
 impl Stage {
     /// Every stage, in table order.
-    pub const ALL: [Stage; 6] = [
+    pub const ALL: [Stage; 5] = [
         Stage::Fetch,
         Stage::Decode,
         Stage::Issue,
         Stage::Replay,
         Stage::MemTick,
-        Stage::Other,
     ];
 
     /// Dense index for table storage.
@@ -50,7 +47,6 @@ impl Stage {
             Stage::Issue => 2,
             Stage::Replay => 3,
             Stage::MemTick => 4,
-            Stage::Other => 5,
         }
     }
 
@@ -62,7 +58,6 @@ impl Stage {
             Stage::Issue => "issue",
             Stage::Replay => "replay",
             Stage::MemTick => "mem_tick",
-            Stage::Other => "other",
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use sst_isa::{decode, encode, Inst, Program, Reg, SnapError, SnapReader, SnapWriter, NUM_REGS};
+use sst_isa::{Inst, Program, Reg, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
 use sst_obs::{HostTimes, Phase, Stage, TraceBuf};
 use sst_uarch::{
@@ -949,101 +949,6 @@ enum ForwardState {
     Memory,
 }
 
-impl RobEntry {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.seq);
-        w.put_u64(self.pc);
-        w.put_u32(encode(self.inst).expect("renamed instruction re-encodes"));
-        match self.state {
-            EntryState::Waiting => w.put_u8(0),
-            EntryState::Issued(done_at) => {
-                w.put_u8(1);
-                w.put_u64(done_at);
-            }
-        }
-        for s in self.srcs {
-            w.put_opt_u64(s.map(|p| p as u64));
-        }
-        w.put_opt_u64(self.dest_phys.map(|p| p as u64));
-        w.put_opt_u64(self.old_phys.map(|p| p as u64));
-        w.put_u64(self.old_future);
-        w.put_opt_u64(self.value);
-        match self.mem {
-            Some((addr, bytes, is_store, value)) => {
-                w.put_bool(true);
-                w.put_u64(addr);
-                w.put_u64(bytes);
-                w.put_bool(is_store);
-                w.put_u64(value);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_opt_u64(self.forwarded_from);
-        w.put_bool(self.mem_executed);
-        w.put_bool(self.mispredicted);
-        w.put_u64(self.actual_next);
-    }
-
-    /// Reads one window entry; physical-register indexes are validated
-    /// against `phys_count` so corrupt input cannot index out of bounds.
-    fn load(r: &mut SnapReader<'_>, phys_count: usize) -> Result<RobEntry, SnapError> {
-        let take_phys = |r: &mut SnapReader<'_>| -> Result<Option<usize>, SnapError> {
-            match r.take_opt_u64()? {
-                None => Ok(None),
-                Some(p) if (p as usize) < phys_count => Ok(Some(p as usize)),
-                Some(p) => Err(SnapError::Corrupt(format!(
-                    "physical register {p} out of range (count {phys_count})"
-                ))),
-            }
-        };
-        let seq = r.take_u64()?;
-        let pc = r.take_u64()?;
-        let word = r.take_u32()?;
-        let inst = decode(word).map_err(|_| {
-            SnapError::Corrupt(format!("undecodable window instruction {word:#010x}"))
-        })?;
-        let state = match r.take_u8()? {
-            0 => EntryState::Waiting,
-            1 => EntryState::Issued(r.take_u64()?),
-            b => {
-                return Err(SnapError::Corrupt(format!(
-                    "invalid window-entry state byte {b}"
-                )))
-            }
-        };
-        let srcs = [take_phys(r)?, take_phys(r)?];
-        let dest_phys = take_phys(r)?;
-        let old_phys = take_phys(r)?;
-        let old_future = r.take_u64()?;
-        let value = r.take_opt_u64()?;
-        let mem = if r.take_bool()? {
-            let addr = r.take_u64()?;
-            let bytes = r.take_u64()?;
-            let is_store = r.take_bool()?;
-            let value = r.take_u64()?;
-            Some((addr, bytes, is_store, value))
-        } else {
-            None
-        };
-        Ok(RobEntry {
-            seq,
-            pc,
-            inst,
-            state,
-            srcs,
-            dest_phys,
-            old_phys,
-            old_future,
-            value,
-            mem,
-            forwarded_from: r.take_opt_u64()?,
-            mem_executed: r.take_bool()?,
-            mispredicted: r.take_bool()?,
-            actual_next: r.take_u64()?,
-        })
-    }
-}
-
 impl Core for OooCore {
     fn tick(&mut self, mem: &mut MemBus) {
         let now = self.cycle;
@@ -1194,193 +1099,6 @@ impl Core for OooCore {
 
     fn host_times(&self) -> Option<&HostTimes> {
         self.prof.as_deref()
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.tag("OOOC");
-        w.put_u64(self.cycle);
-        w.put_u64(self.seq);
-        w.put_bool(self.halted);
-        w.put_opt_u64(self.fetch_blocked_on);
-        w.put_usize(self.phantom_count);
-        w.put_u64(self.issue_quiet_until);
-        self.frontend.save_state(w);
-        for v in self.future {
-            w.put_u64(v);
-        }
-        for p in self.rat {
-            w.put_u64(p as u64);
-        }
-        w.put_usize(self.phys_ready.len());
-        for &t in &self.phys_ready {
-            w.put_u64(t);
-        }
-        w.put_usize(self.free.len());
-        for &p in &self.free {
-            w.put_u64(p as u64);
-        }
-        w.put_usize(self.rob.len());
-        for e in &self.rob {
-            e.save_state(w);
-        }
-        match &self.phantom {
-            Some((shadow, poison)) => {
-                w.put_bool(true);
-                for &v in shadow.iter() {
-                    w.put_u64(v);
-                }
-                for &b in poison.iter() {
-                    w.put_bool(b);
-                }
-            }
-            None => w.put_bool(false),
-        }
-        w.put_usize(self.commits.len());
-        for c in &self.commits {
-            c.save_state(w);
-        }
-        for v in [
-            self.stats.stall_frontend,
-            self.stats.stall_rob_full,
-            self.stats.stall_iq_full,
-            self.stats.stall_lsq_full,
-            self.stats.stall_branch_resolve,
-            self.stats.mispredicts,
-            self.stats.violations,
-            self.stats.forwards,
-            self.stats.wrong_path_prefetches,
-            self.stats.issued,
-            self.stats.rob_high_water as u64,
-        ] {
-            w.put_u64(v);
-        }
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let phys_count = self.phys_ready.len();
-        r.tag("OOOC")?;
-        let cycle = r.take_u64()?;
-        let seq = r.take_u64()?;
-        let halted = r.take_bool()?;
-        let fetch_blocked_on = r.take_opt_u64()?;
-        let phantom_count = r.take_usize()?;
-        let issue_quiet_until = r.take_u64()?;
-        self.frontend.restore_state(r)?;
-        let mut future = [0u64; 64];
-        for v in future.iter_mut() {
-            *v = r.take_u64()?;
-        }
-        let mut rat = [0usize; 64];
-        for p in rat.iter_mut() {
-            let v = r.take_u64()? as usize;
-            if v >= phys_count {
-                return Err(SnapError::Corrupt(format!(
-                    "RAT maps to physical register {v} out of range (count {phys_count})"
-                )));
-            }
-            *p = v;
-        }
-        let n_phys = r.take_usize()?;
-        if n_phys != phys_count {
-            return Err(SnapError::Mismatch(format!(
-                "physical register count {n_phys} != configured {phys_count}"
-            )));
-        }
-        let mut phys_ready = vec![0u64; phys_count];
-        for t in phys_ready.iter_mut() {
-            *t = r.take_u64()?;
-        }
-        let n_free = r.take_usize()?;
-        if n_free > phys_count {
-            return Err(SnapError::Corrupt(format!(
-                "free list length {n_free} exceeds physical count {phys_count}"
-            )));
-        }
-        let mut free = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            let p = r.take_u64()? as usize;
-            if p >= phys_count {
-                return Err(SnapError::Corrupt(format!(
-                    "free physical register {p} out of range (count {phys_count})"
-                )));
-            }
-            free.push(p);
-        }
-        let n_rob = r.take_usize()?;
-        if n_rob > self.cfg.rob_entries {
-            return Err(SnapError::Corrupt(format!(
-                "window occupancy {n_rob} exceeds {} entries",
-                self.cfg.rob_entries
-            )));
-        }
-        let mut rob = VecDeque::with_capacity(n_rob);
-        for _ in 0..n_rob {
-            rob.push_back(RobEntry::load(r, phys_count)?);
-        }
-        let phantom = if r.take_bool()? {
-            let mut shadow = [0u64; 64];
-            for v in shadow.iter_mut() {
-                *v = r.take_u64()?;
-            }
-            let mut poison = [false; 64];
-            for b in poison.iter_mut() {
-                *b = r.take_bool()?;
-            }
-            Some((shadow, poison))
-        } else {
-            None
-        };
-        let n_commits = r.take_usize()?;
-        self.commits.clear();
-        for _ in 0..n_commits {
-            self.commits.push(Commit::load(r)?);
-        }
-        let mut stats = OooStats::default();
-        for slot in [
-            &mut stats.stall_frontend,
-            &mut stats.stall_rob_full,
-            &mut stats.stall_iq_full,
-            &mut stats.stall_lsq_full,
-            &mut stats.stall_branch_resolve,
-            &mut stats.mispredicts,
-            &mut stats.violations,
-            &mut stats.forwards,
-            &mut stats.wrong_path_prefetches,
-            &mut stats.issued,
-        ] {
-            *slot = r.take_u64()?;
-        }
-        stats.rob_high_water = r.take_u64()? as usize;
-        // The occupancy counts are derived state: recompute them from the
-        // restored window so they are consistent by construction (the
-        // debug-build `counts_consistent` assertion would catch drift).
-        self.n_waiting = rob
-            .iter()
-            .filter(|e| e.state == EntryState::Waiting)
-            .count();
-        self.n_loads = rob
-            .iter()
-            .filter(|e| matches!(e.mem, Some((_, _, false, _))))
-            .count();
-        self.n_stores = rob
-            .iter()
-            .filter(|e| matches!(e.mem, Some((_, _, true, _))))
-            .count();
-        self.cycle = cycle;
-        self.seq = seq;
-        self.halted = halted;
-        self.fetch_blocked_on = fetch_blocked_on;
-        self.phantom_count = phantom_count;
-        self.issue_quiet_until = issue_quiet_until;
-        self.future = future;
-        self.rat = rat;
-        self.phys_ready = phys_ready;
-        self.free = free;
-        self.rob = rob;
-        self.phantom = phantom;
-        self.stats = stats;
-        Ok(())
     }
 
     fn warm_boot(&mut self, regs: &[u64; NUM_REGS], pc: u64) {

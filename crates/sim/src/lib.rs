@@ -11,7 +11,7 @@
 //! * [`CmpSystem`] — an `n`-core chip multiprocessor running a
 //!   multiprogrammed mix over a shared L2, for the throughput experiments.
 //! * [`area`] — the structure-count area/power proxy (experiment E9).
-//! * [`report`] — markdown/CSV table emission for the experiment binaries.
+//! * [`report`] — markdown/CSV table emission for the experiments.
 //!
 //! ```
 //! use sst_sim::{CoreModel, System};
@@ -32,7 +32,6 @@ mod models;
 pub mod report;
 pub mod sampling;
 mod service;
-mod snapshot;
 mod system;
 
 pub use checker::{CosimError, RetireChecker};
@@ -40,5 +39,4 @@ pub use cmp::{CmpResult, CmpSystem};
 pub use models::CoreModel;
 pub use sampling::{run_sampled, SampledResult, SamplingConfig};
 pub use service::{Lane, Request, WorkSource};
-pub use snapshot::{Snapshot, SnapshotHeader};
 pub use system::{geomean, RunResult, System, SystemTrace};

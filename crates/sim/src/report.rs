@@ -1,4 +1,4 @@
-//! Table emission for the experiment binaries: every experiment prints its
+//! Table emission for the experiments: every experiment prints its
 //! rows as aligned markdown (for humans) and writes CSV (for plotting).
 
 use std::fmt::Write as _;

@@ -1,13 +1,12 @@
 //! Single-core simulation with warm-up accounting and optional
 //! co-simulation.
 
-use sst_isa::{InstClass, SnapError, SnapReader, SnapWriter, SNAPSHOT_VERSION};
+use sst_isa::InstClass;
 use sst_mem::{Cycle, MemConfig, MemStats, MemSystem};
 use sst_obs::{HostTimes, TraceBuf};
 use sst_uarch::Core;
 use sst_workloads::Workload;
 
-use crate::snapshot::{Snapshot, SNAPSHOT_MAGIC};
 use crate::{CoreModel, CosimError, RetireChecker};
 
 /// Result of a single-core run.
@@ -96,11 +95,12 @@ pub struct SystemTrace {
 /// A single core attached to its own memory hierarchy, running one
 /// workload.
 ///
-/// Runs are restartable: [`System::run_insts`] advances until an
-/// instruction target, [`System::snapshot`] captures the complete run
-/// state, and [`System::resume`] rebuilds an equivalent system that
-/// continues byte-identically (the `snapshot_resume` suite pins this for
-/// every model).
+/// Runs can be paused and continued: [`System::run_insts`] advances
+/// until a cumulative instruction target and returns; a later call with
+/// a larger target carries on from exactly that point, and
+/// [`System::result`] reports the run so far. A run paused any number of
+/// times ends with the same [`RunResult`] as an uninterrupted one (the
+/// `fastforward` suite pins this for every model).
 pub struct System {
     core: Box<dyn Core>,
     mem: MemSystem,
@@ -110,8 +110,8 @@ pub struct System {
     checker: Option<RetireChecker>,
     fast_forward: bool,
     // Run accumulators. These live on the struct (not in the run loop) so
-    // a snapshot taken mid-run carries them and a resumed run reports the
-    // same totals as an uninterrupted one.
+    // a run paused by `run_insts` and continued later reports the same
+    // totals as an uninterrupted one.
     committed: u64,
     warmup_cycles: Cycle,
     inst_mix: [u64; 10],
@@ -269,11 +269,12 @@ impl System {
 
     /// Runs until at least `target_insts` total instructions have
     /// committed, or the core halts, whichever comes first. The target is
-    /// cumulative over the whole run (a resumed system keeps counting
-    /// from the snapshot's total). Pausing here, snapshotting, and
-    /// resuming continues the run byte-identically — the pause point is
-    /// between full tick iterations, where no partial pipeline step is in
-    /// flight.
+    /// cumulative over the whole run, so calling again with a larger
+    /// target continues where the last call stopped. Pausing never
+    /// changes the outcome: the pause point is between full tick
+    /// iterations, where no partial pipeline step is in flight, so a run
+    /// split into any number of `run_insts` calls ends with the same
+    /// [`System::result`] as one uninterrupted call.
     ///
     /// # Errors
     ///
@@ -309,11 +310,6 @@ impl System {
         self.drain(&mut commits)
     }
 
-    /// Total instructions committed so far.
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
-
     /// `true` once the core has retired its `halt`.
     pub fn halted(&self) -> bool {
         self.core.halted()
@@ -347,116 +343,8 @@ impl System {
         }
     }
 
-    /// Captures the complete run state — accumulators, co-simulation
-    /// checker, core timing state, and the full memory hierarchy — as a
-    /// versioned [`Snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Unsupported`] if the core model does not implement
-    /// state capture (all stock models do).
-    pub fn snapshot(&self) -> Result<Snapshot, SnapError> {
-        let mut w = SnapWriter::new();
-        w.tag(SNAPSHOT_MAGIC);
-        w.put_u32(SNAPSHOT_VERSION);
-        w.put_str(&self.model_label);
-        w.put_str(self.workload_name);
-        w.put_u64(self.skip_insts);
-        w.put_u64(self.committed);
-        w.put_u64(self.warmup_cycles);
-        for &n in &self.inst_mix {
-            w.put_u64(n);
-        }
-        match &self.checker {
-            Some(ck) => {
-                w.put_bool(true);
-                ck.save_state(&mut w);
-            }
-            None => w.put_bool(false),
-        }
-        self.core.save_state(&mut w)?;
-        self.mem.save_state(&mut w);
-        Ok(Snapshot::from_bytes(w.into_bytes()))
-    }
-
-    /// Rebuilds a system from a [`Snapshot`] with the default memory
-    /// configuration. See [`System::resume_with_mem`].
-    ///
-    /// # Errors
-    ///
-    /// As [`System::resume_with_mem`].
-    pub fn resume(model: CoreModel, workload: &Workload, snap: &Snapshot) -> Result<System, SnapError> {
-        System::resume_with_mem(model, workload, &MemConfig::default(), snap)
-    }
-
-    /// Rebuilds a system from a [`Snapshot`], continuing the run exactly
-    /// where [`System::snapshot`] left it. The caller supplies the same
-    /// model, workload, and memory configuration the snapshot was taken
-    /// under; model and workload are validated against the snapshot
-    /// header, and the restored core/memory state is validated
-    /// structurally against the rebuilt configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Mismatch`] when the model or workload disagrees with
-    /// the header; [`SnapError::Corrupt`] on truncated or damaged bytes.
-    pub fn resume_with_mem(
-        model: CoreModel,
-        workload: &Workload,
-        mem_cfg: &MemConfig,
-        snap: &Snapshot,
-    ) -> Result<System, SnapError> {
-        let mut sys = System::with_mem(model, workload, mem_cfg);
-        let mut r = SnapReader::new(snap.as_bytes());
-        r.tag(SNAPSHOT_MAGIC)?;
-        let version = r.take_u32()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot version {version}, this build reads {SNAPSHOT_VERSION}"
-            )));
-        }
-        let model_label = r.take_str()?;
-        if model_label != sys.model_label {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot of model '{model_label}', resuming as '{}'",
-                sys.model_label
-            )));
-        }
-        let workload_name = r.take_str()?;
-        if workload_name != sys.workload_name {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot of workload '{workload_name}', resuming on '{}'",
-                sys.workload_name
-            )));
-        }
-        let skip_insts = r.take_u64()?;
-        if skip_insts != sys.skip_insts {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot warm-up window {skip_insts}, workload has {}",
-                sys.skip_insts
-            )));
-        }
-        sys.committed = r.take_u64()?;
-        sys.warmup_cycles = r.take_u64()?;
-        for n in sys.inst_mix.iter_mut() {
-            *n = r.take_u64()?;
-        }
-        if r.take_bool()? {
-            sys.checker
-                .as_mut()
-                .expect("with_mem always builds a checker")
-                .restore_state(&mut r)?;
-        } else {
-            sys.checker = None;
-        }
-        sys.core.restore_state(&mut r)?;
-        sys.mem.restore_state(&mut r)?;
-        r.finish()?;
-        Ok(sys)
-    }
-
     /// Convenience: build + run one (model, workload) pair, panicking on
-    /// divergence — the form every experiment binary uses.
+    /// divergence — the form the examples and integration tests use.
     pub fn measure(model: CoreModel, workload: &Workload, max_cycles: Cycle) -> RunResult {
         System::new(model, workload)
             .run_checked(max_cycles)

@@ -66,6 +66,51 @@ fn cmp_lockstep_skip_matches() {
     }
 }
 
+/// Pausing a run with `System::run_insts` and continuing it must be
+/// invisible too: stopping at the midpoint and then running to `halt`
+/// ends with the same `RunResult` as one uninterrupted run, for every
+/// pipeline, with fast-forward on and off.
+#[test]
+fn pause_and_continue_matches_uninterrupted() {
+    let models = [
+        CoreModel::InOrder,
+        CoreModel::Scout,
+        CoreModel::ExecuteAhead,
+        CoreModel::Sst,
+        CoreModel::Ooo32,
+    ];
+    for workload in ["oltp", "gzip"] {
+        let w = Workload::by_name(workload, Scale::Smoke, 3).unwrap();
+        for model in &models {
+            for fast_forward in [true, false] {
+                let label = format!("{} on {workload} (ff={fast_forward})", model.label());
+                let build = || {
+                    let sys = System::new(model.clone(), &w);
+                    if fast_forward {
+                        sys
+                    } else {
+                        sys.without_fast_forward()
+                    }
+                };
+                let want = build()
+                    .run_checked(MAX_CYCLES)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+
+                let mut paused = build();
+                paused
+                    .run_insts(want.insts / 2, MAX_CYCLES)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert!(!paused.halted(), "{label}: midpoint must be mid-run");
+                paused
+                    .run_insts(u64::MAX, MAX_CYCLES)
+                    .unwrap_or_else(|e| panic!("{label}: continued run diverged: {e}"));
+                assert!(paused.halted(), "{label}: continued run must halt");
+                assert_eq!(paused.result(), want, "{label}: continued result differs");
+            }
+        }
+    }
+}
+
 /// A tiny budget must time out at the same point whether or not skipping
 /// is enabled (the skip target is clamped to the budget).
 #[test]

@@ -1,7 +1,7 @@
 //! The interface every core model implements, and the commit-event record
 //! used for co-simulation against the functional golden model.
 
-use sst_isa::{decode, encode, Inst, Reg, SnapError, SnapReader, SnapWriter, NUM_REGS};
+use sst_isa::{Inst, Reg, NUM_REGS};
 use sst_mem::{Cycle, MemBus};
 
 use crate::Seq;
@@ -27,70 +27,6 @@ pub struct Commit {
     pub store: Option<(u64, u64, u64)>,
     /// Cycle at which the instruction committed.
     pub at: Cycle,
-}
-
-impl Commit {
-    /// Serializes the commit record (snapshotting of undrained commit
-    /// buffers and epoch logs).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.seq);
-        w.put_u64(self.pc);
-        w.put_u32(encode(self.inst).expect("committed instruction re-encodes"));
-        match self.reg_write {
-            Some((r, v)) => {
-                w.put_bool(true);
-                w.put_u8(r.index() as u8);
-                w.put_u64(v);
-            }
-            None => w.put_bool(false),
-        }
-        match self.store {
-            Some((addr, bytes, value)) => {
-                w.put_bool(true);
-                w.put_u64(addr);
-                w.put_u64(bytes);
-                w.put_u64(value);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u64(self.at);
-    }
-
-    /// Reads a commit record written by [`Commit::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated or corrupt input.
-    pub fn load(r: &mut SnapReader<'_>) -> Result<Commit, SnapError> {
-        let seq = r.take_u64()?;
-        let pc = r.take_u64()?;
-        let word = r.take_u32()?;
-        let inst = decode(word).map_err(|_| {
-            SnapError::Corrupt(format!("undecodable committed instruction {word:#010x}"))
-        })?;
-        let reg_write = if r.take_bool()? {
-            let idx = r.take_u8()?;
-            let reg = Reg::from_index(idx).ok_or_else(|| {
-                SnapError::Corrupt(format!("register index {idx} out of range"))
-            })?;
-            Some((reg, r.take_u64()?))
-        } else {
-            None
-        };
-        let store = if r.take_bool()? {
-            Some((r.take_u64()?, r.take_u64()?, r.take_u64()?))
-        } else {
-            None
-        };
-        Ok(Commit {
-            seq,
-            pc,
-            inst,
-            reg_write,
-            store,
-            at: r.take_u64()?,
-        })
-    }
 }
 
 /// A cycle-level core model.
@@ -254,33 +190,6 @@ pub trait Core: Send {
     /// The accumulated host stage times, when profiling is enabled.
     fn host_times(&self) -> Option<&sst_obs::HostTimes> {
         None
-    }
-
-    /// Serializes the core's complete mutable state — frontend, register
-    /// images, checkpoints, queues, counters — so the run can later be
-    /// [`Core::restore_state`]d into a freshly built core of the same
-    /// model/configuration and continue byte-identically. Observability
-    /// attachments (trace, host profile, taint) are excluded: they are
-    /// record-only and restored runs start with them off.
-    ///
-    /// # Errors
-    ///
-    /// The default reports [`SnapError::Unsupported`]; models opt in.
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        let _ = w;
-        Err(SnapError::Unsupported(self.model_name()))
-    }
-
-    /// Restores state written by [`Core::save_state`] on a core built
-    /// with the same configuration over the same program.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated, corrupt, or mismatched input; the
-    /// core must not be ticked after a failed restore.
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let _ = r;
-        Err(SnapError::Unsupported(self.model_name()))
     }
 
     /// Warm-boots the core at an architectural point: squashes *all*

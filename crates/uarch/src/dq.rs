@@ -23,7 +23,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sst_isa::{decode, encode, Inst, SnapError, SnapReader, SnapWriter};
+use sst_isa::Inst;
 use sst_mem::Cycle;
 
 use crate::Seq;
@@ -334,110 +334,6 @@ impl DeferredQueue {
         self.unblock_slot(idx);
         self.free.push(idx);
         self.slots[idx as usize].entry
-    }
-
-    /// Serializes live entries (program order, with blocked marks), the
-    /// generation counter, and the occupancy statistics.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("DQUE");
-        w.put_u64(self.generation);
-        w.put_u64(self.total_deferred);
-        w.put_usize(self.high_water);
-        w.put_usize(self.order.len());
-        for &i in &self.order {
-            let s = &self.slots[i as usize];
-            let e = &s.entry;
-            w.put_u64(e.seq);
-            w.put_u64(e.pc);
-            w.put_u32(encode(e.inst).expect("deferred instruction re-encodes"));
-            for c in e.captured {
-                w.put_opt_u64(c);
-            }
-            for p in e.producers {
-                w.put_opt_u64(p);
-            }
-            w.put_u8(match e.predicted_taken {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            });
-            w.put_opt_u64(e.pred_next_pc);
-            w.put_opt_u64(e.data_ready_at);
-            w.put_bool(s.blocked);
-        }
-    }
-
-    /// Restores state written by [`DeferredQueue::save_state`] on a queue
-    /// of the same capacity. The slab is repacked canonically (slot ids
-    /// 0..n in program order), which is invisible to every caller: slot
-    /// ids never escape this module.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated, corrupt, or capacity-mismatched input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("DQUE")?;
-        let generation = r.take_u64()?;
-        let total_deferred = r.take_u64()?;
-        let high_water = r.take_usize()?;
-        let n = r.take_usize()?;
-        if n > self.capacity || high_water > self.capacity {
-            return Err(SnapError::Corrupt(format!(
-                "DQ occupancy {n} / high-water {high_water} exceeds capacity {}",
-                self.capacity
-            )));
-        }
-        self.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.ready_heap.clear();
-        let mut last_seq: Option<Seq> = None;
-        for _ in 0..n {
-            let seq = r.take_u64()?;
-            if last_seq.is_some_and(|l| l >= seq) {
-                return Err(SnapError::Corrupt(format!(
-                    "DQ entries out of program order at seq {seq}"
-                )));
-            }
-            last_seq = Some(seq);
-            let pc = r.take_u64()?;
-            let word = r.take_u32()?;
-            let inst = decode(word).map_err(|_| {
-                SnapError::Corrupt(format!("undecodable deferred instruction {word:#010x}"))
-            })?;
-            let captured = [r.take_opt_u64()?, r.take_opt_u64()?];
-            let producers = [r.take_opt_u64()?, r.take_opt_u64()?];
-            let predicted_taken = match r.take_u8()? {
-                0 => None,
-                1 => Some(false),
-                2 => Some(true),
-                b => {
-                    return Err(SnapError::Corrupt(format!(
-                        "bad predicted-taken byte {b}"
-                    )))
-                }
-            };
-            let pred_next_pc = r.take_opt_u64()?;
-            let data_ready_at = r.take_opt_u64()?;
-            let blocked = r.take_bool()?;
-            self.push(DqEntry {
-                seq,
-                pc,
-                inst,
-                captured,
-                producers,
-                predicted_taken,
-                pred_next_pc,
-                data_ready_at,
-            });
-            if blocked {
-                self.mark_blocked(seq);
-            }
-        }
-        self.generation = generation;
-        self.total_deferred = total_deferred;
-        self.high_water = high_water;
-        Ok(())
     }
 
     /// Updates the data-ready cycle of entry `seq` (re-deferral of a

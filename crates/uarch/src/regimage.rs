@@ -1,6 +1,6 @@
 //! Register images with NT bits — the SST checkpoint substrate.
 
-use sst_isa::{Reg, SnapError, SnapReader, SnapWriter, NUM_REGS};
+use sst_isa::{Reg, NUM_REGS};
 use sst_mem::Cycle;
 
 use crate::Seq;
@@ -142,33 +142,6 @@ impl RegImage {
         }
         out
     }
-
-    /// Serializes every slot (value, NT bit, writer tag, readiness).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("RIMG");
-        for s in &self.slots {
-            w.put_u64(s.value);
-            w.put_bool(s.nt);
-            w.put_u64(s.writer);
-            w.put_u64(s.ready_at);
-        }
-    }
-
-    /// Restores state written by [`RegImage::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated or corrupt input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("RIMG")?;
-        for s in self.slots.iter_mut() {
-            s.value = r.take_u64()?;
-            s.nt = r.take_bool()?;
-            s.writer = r.take_u64()?;
-            s.ready_at = r.take_u64()?;
-        }
-        Ok(())
-    }
 }
 
 impl Default for RegImage {
@@ -197,7 +170,7 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Snapshots `image` at `pc`.
+    /// Captures `image` at `pc`.
     pub fn take(image: &RegImage, pc: u64, start_seq: Seq, taken_at: Cycle) -> Checkpoint {
         Checkpoint {
             image: image.clone(),
@@ -205,32 +178,6 @@ impl Checkpoint {
             start_seq,
             taken_at,
         }
-    }
-
-    /// Serializes the checkpoint (image + restore point).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("CKPT");
-        self.image.save_state(w);
-        w.put_u64(self.pc);
-        w.put_u64(self.start_seq);
-        w.put_u64(self.taken_at);
-    }
-
-    /// Reads a checkpoint written by [`Checkpoint::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated or corrupt input.
-    pub fn load(r: &mut SnapReader<'_>) -> Result<Checkpoint, SnapError> {
-        r.tag("CKPT")?;
-        let mut image = RegImage::new();
-        image.restore_state(r)?;
-        Ok(Checkpoint {
-            image,
-            pc: r.take_u64()?,
-            start_seq: r.take_u64()?,
-            taken_at: r.take_u64()?,
-        })
     }
 }
 

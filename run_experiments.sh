@@ -8,8 +8,8 @@
 #   SST_EXPS="e4 a1 ..."   run a subset (default: all, which includes the
 #                          E14 open-loop traffic sweep; set e.g.
 #                          SST_EXPS="e14" for just the load sweep, or list
-#                          ids without e14 to skip it). Legacy binary
-#                          names (e4_vs_ooo, a3_confidence_gate) work too.
+#                          ids without e14 to skip it). Long names
+#                          (e4_vs_ooo, a3_confidence_gate) work too.
 #   SST_JOBS=N             worker threads (default: all cores)
 #   SST_SCALE=smoke|full   workload scale (default full)
 #   SST_SEED, SST_RESULTS, SST_MAX_CYCLES — see `sst-run --help`
